@@ -7,10 +7,20 @@
 //! greedy strategy: in each of `k` iterations, find all datasets *directly
 //! connected* to the merged result obtained so far (`FindConnectSet`, pruned
 //! with Lemma 4's distance bounds over DITS-L), and add the one with the
-//! largest marginal gain (Equation 3).  Merging the running result into a
-//! single node means each iteration performs one tree search instead of one
-//! per already-selected dataset, which is the difference between
-//! CoverageSearch and the SG+DITS baseline.
+//! largest marginal gain (Equation 3).
+//!
+//! The connect set is maintained **incrementally**.  The cell-based distance
+//! is a minimum over cell pairs, so `dist(D, A ∪ B) = min(dist(D, A),
+//! dist(D, B))`: a dataset connected to the merged result of round `i − 1`
+//! stays connected in round `i`, and the only new members are the datasets
+//! within δ of `B_i`, the dataset picked last.  The first round walks DITS-L
+//! from the query; every later round walks it once from `B_i`'s geometry,
+//! probes only `B_i`'s cells, and skips datasets already known to be
+//! connected.  The connect sets — and therefore the picks — are exactly those
+//! of the paper's merged-node search, which re-searches from the whole merged
+//! result every round and is kept as the test oracle.  The SG+DITS baseline
+//! (`merge_results = false`) still searches from every result member in
+//! every iteration.
 
 use crate::bounds::node_distance_bounds;
 use crate::local::{DitsLocal, NodeIdx, NodeKind, TraversalLayout};
@@ -28,11 +38,11 @@ pub struct CoverageConfig {
     pub k: usize,
     /// Connectivity threshold δ (in cell units).
     pub delta: f64,
-    /// When `true` (the default and the paper's CoverageSearch), the running
-    /// result is merged into a single query node so each iteration performs
-    /// one connectivity search.  When `false` the algorithm behaves like the
-    /// SG+DITS baseline: one connectivity search per already-selected
-    /// dataset per iteration.
+    /// When `true` (the default and the paper's CoverageSearch), the connect
+    /// set of the merged result is kept across iterations and each iteration
+    /// searches only from the dataset picked last.  When `false` the
+    /// algorithm behaves like the SG+DITS baseline: every iteration starts
+    /// afresh with one connectivity search per already-selected dataset.
     pub merge_results: bool,
 }
 
@@ -77,55 +87,48 @@ pub fn coverage_search(
     if config.k == 0 || query.is_empty() || index.dataset_count() == 0 {
         return (result, stats);
     }
-
-    // The merged node N_M starts as the query node.
-    let mut merged_cells = query.clone();
-    let mut merged_geometry = match merged_cells.mbr_cell_space() {
-        Some(m) => NodeGeometry::from_mbr(m),
-        None => return (result, stats),
+    let Some(query_rect) = query.mbr_cell_space() else {
+        return (result, stats);
     };
+
+    let mut merged_cells = query.clone();
     let mut selected: HashSet<DatasetId> = HashSet::new();
-    // When merging is disabled (SG+DITS mode) we keep the individual result
-    // members and search from each of them every iteration, with the probe of
-    // every member pre-built once.
-    let mut members: Vec<(NodeGeometry, NeighborProbe)> =
-        vec![(merged_geometry, NeighborProbe::new(&merged_cells))];
+    // The result members, query first, each with a probe borrowing its
+    // cached sorted cells.  Members before `walked` have already been
+    // searched from, and their connected datasets sit in `connected`/`seen`.
+    let mut members: Vec<(NodeGeometry, NeighborProbe<'_>)> = vec![(
+        NodeGeometry::from_mbr(query_rect),
+        NeighborProbe::new(query),
+    )];
+    let mut walked = 0;
+    let mut connected: Vec<&DatasetNode> = Vec::new();
+    let mut seen: HashSet<DatasetId> = HashSet::new();
+    let layout = index.traversal_layout();
 
     while result.datasets.len() < config.k {
-        // FindConnectSet: all dataset nodes directly connected to the merged
-        // result (or to any member when merging is off).
-        let mut connected: Vec<&DatasetNode> = Vec::new();
-        let mut seen: HashSet<DatasetId> = HashSet::new();
+        if !config.merge_results {
+            // SG+DITS: every iteration re-searches from every member.
+            connected.clear();
+            seen.clear();
+            walked = 0;
+        }
+        // FindConnectSet, extended by the members added since the last walk
+        // (only the newest one when merging).
         let started = std::time::Instant::now();
-        let layout = index.traversal_layout();
-        if config.merge_results {
-            let probe = NeighborProbe::new(&merged_cells);
+        for (geometry, probe) in members.iter().skip(walked) {
             find_connect_set(
                 index,
                 layout,
                 layout.root(),
-                &merged_geometry,
-                &probe,
+                geometry,
+                probe,
                 config.delta,
                 &mut connected,
                 &mut seen,
                 &mut stats,
             );
-        } else {
-            for (geom, probe) in &members {
-                find_connect_set(
-                    index,
-                    layout,
-                    layout.root(),
-                    geom,
-                    probe,
-                    config.delta,
-                    &mut connected,
-                    &mut seen,
-                    &mut stats,
-                );
-            }
         }
+        walked = members.len();
         crate::phase::add_traversal(started.elapsed());
 
         let started = std::time::Instant::now();
@@ -142,14 +145,68 @@ pub fn coverage_search(
         result.datasets.push(best.id);
         result.gains.push(tau as usize);
         merged_cells.union_in_place(&best.cells);
-        merged_geometry = merged_geometry.union(&best.geometry);
         result.coverage = merged_cells.len();
-        if !config.merge_results {
-            members.push((best.geometry, NeighborProbe::new(&best.cells)));
-        }
+        members.push((best.geometry, NeighborProbe::new(&best.cells)));
     }
 
     (result, stats)
+}
+
+/// Algorithm 3 as the paper states it, kept as the oracle of the
+/// incremental search: every iteration runs `FindConnectSet` afresh from the
+/// merged node `N_M` (the union of the query and every pick so far).
+#[cfg(test)]
+pub(crate) fn coverage_search_merged_oracle(
+    index: &DitsLocal,
+    query: &CellSet,
+    config: CoverageConfig,
+) -> CoverageResult {
+    let mut stats = SearchStats::new();
+    let mut result = CoverageResult {
+        datasets: Vec::new(),
+        coverage: query.len(),
+        query_coverage: query.len(),
+        gains: Vec::new(),
+    };
+    let Some(rect) = query.mbr_cell_space() else {
+        return result;
+    };
+    if config.k == 0 || index.dataset_count() == 0 {
+        return result;
+    }
+    let mut merged_cells = query.clone();
+    let mut merged_geometry = NodeGeometry::from_mbr(rect);
+    let mut selected: HashSet<DatasetId> = HashSet::new();
+    let layout = index.traversal_layout();
+    while result.datasets.len() < config.k {
+        let mut connected: Vec<&DatasetNode> = Vec::new();
+        let mut seen: HashSet<DatasetId> = HashSet::new();
+        find_connect_set(
+            index,
+            layout,
+            layout.root(),
+            &merged_geometry,
+            &NeighborProbe::new(&merged_cells),
+            config.delta,
+            &mut connected,
+            &mut seen,
+            &mut stats,
+        );
+        let Some((best, tau)) = greedy_pick(&connected, &selected, &merged_cells, &mut stats)
+        else {
+            break;
+        };
+        if tau <= 0 {
+            break;
+        }
+        selected.insert(best.id);
+        result.datasets.push(best.id);
+        result.gains.push(tau as usize);
+        merged_cells.union_in_place(&best.cells);
+        merged_geometry = merged_geometry.union(&best.geometry);
+        result.coverage = merged_cells.len();
+    }
+    result
 }
 
 /// The greedy choice of Algorithm 3, shared between the per-query search and
@@ -192,10 +249,10 @@ pub(crate) fn greedy_pick<'a>(
 
 /// `FindConnectSet` of Algorithm 3, descending the cached layout
 /// (`node_idx` is a layout index): collects every dataset node whose
-/// cell-based distance to the probe is at most δ, pruning subtrees with the
-/// Lemma 4 bounds.  Per-entry bound checks read the layout's flat entry
-/// geometry array; a dataset's cells are only touched when its bounds are
-/// inconclusive.
+/// cell-based distance to the probe is at most δ and that is not yet in
+/// `seen`, pruning subtrees with the Lemma 4 bounds.  Per-entry bound checks
+/// read the layout's flat entry geometry array; a dataset's cells are only
+/// touched when its bounds are inconclusive.
 #[allow(clippy::too_many_arguments)]
 fn find_connect_set<'a>(
     index: &'a DitsLocal,
@@ -542,6 +599,41 @@ mod tests {
                 union.union_in_place(c);
             }
             prop_assert_eq!(union.len(), result.coverage);
+        }
+
+        #[test]
+        fn prop_incremental_matches_merged_node_oracle(
+            datasets in proptest::collection::vec(
+                proptest::collection::vec((0u32..24, 0u32..24), 1..6), 1..20),
+            copies in proptest::collection::vec(0usize..64, 0..8),
+            queries in proptest::collection::vec(
+                proptest::collection::vec((0u32..24, 0u32..24), 0..5), 1..5),
+            k in 1usize..8,
+            delta in 0.0f64..12.0,
+            whole_delta in any::<bool>(),
+            capacity in 1usize..8,
+        ) {
+            // Datasets with identical cells (`copies` repeats earlier ones
+            // under new ids) exercise the id tie-break; whole-number δ puts
+            // cell pairs exactly on the threshold.
+            let mut cells: Vec<&Vec<(u32, u32)>> = datasets.iter().collect();
+            cells.extend(copies.iter().map(|&c| &datasets[c % datasets.len()]));
+            let nodes: Vec<DatasetNode> = cells
+                .iter()
+                .enumerate()
+                .map(|(i, c)| node(i as DatasetId, c))
+                .collect();
+            let idx = DitsLocal::build(nodes, DitsLocalConfig { leaf_capacity: capacity });
+            let delta = if whole_delta { delta.floor() } else { delta };
+            let config = CoverageConfig::new(k, delta);
+            let qs: Vec<CellSet> = queries.iter().map(|q| cs(q)).collect();
+            let batch = crate::frontier::coverage_search_batch(&idx, &qs, config);
+            for (q, (batch_result, _)) in qs.iter().zip(&batch) {
+                let oracle = coverage_search_merged_oracle(&idx, q, config);
+                let (result, _) = coverage_search(&idx, q, config);
+                prop_assert_eq!(&result, &oracle);
+                prop_assert_eq!(batch_result, &oracle);
+            }
         }
 
         #[test]

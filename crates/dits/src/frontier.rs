@@ -172,26 +172,25 @@ pub fn overlap_search_batch_with_options(
     out
 }
 
-/// Per-query state of the batch coverage search.  The `probe`, `connected`
-/// and `seen` fields are rebuilt at the start of every greedy iteration
-/// (clearing, not reallocating, the collections); keeping them here instead
-/// of in per-iteration parallel vectors means the shared walk performs one
-/// checked lookup per frontier entry.
+/// Per-query state of the batch coverage search.  The connect set
+/// (`connected`/`seen`) only grows across greedy iterations, exactly as in
+/// [`coverage_search`](crate::coverage::coverage_search): each walk extends
+/// it with the datasets within δ of `newest`.  Keeping the state in one
+/// struct means the shared walk performs one checked lookup per frontier
+/// entry.
 struct CoverageState<'a> {
     merged_cells: CellSet,
-    merged_geometry: NodeGeometry,
     selected: HashSet<DatasetId>,
     result: CoverageResult,
     stats: SearchStats,
-    active: bool,
-    /// Distance probe over `merged_cells`, snapshotted before each walk so
-    /// the walk never aliases the cells it prunes against; `None` while the
-    /// query is inactive.  The per-query algorithm rebuilds its probe every
-    /// iteration too.
-    probe: Option<NeighborProbe>,
-    /// Connect set collected by the current walk, in discovery order.
+    /// The result member the next walk searches from — the query in the
+    /// first iteration, then the dataset picked last — with a probe
+    /// borrowing its cached sorted cells.  `None` once the query has
+    /// finished selecting.
+    newest: Option<(NodeGeometry, NeighborProbe<'a>)>,
+    /// Connect set of the merged result, in discovery order.
     connected: Vec<&'a DatasetNode>,
-    /// Dataset ids already in `connected` for the current walk.
+    /// Dataset ids in `connected`.
     seen: HashSet<DatasetId>,
 }
 
@@ -205,9 +204,9 @@ struct CoverageState<'a> {
 /// strategy; with `merge_results = false` (the SG+DITS ablation mode, whose
 /// per-member searches have nothing to share) the batch simply runs the
 /// per-query algorithm.
-pub fn coverage_search_batch(
-    index: &DitsLocal,
-    queries: &[CellSet],
+pub fn coverage_search_batch<'a>(
+    index: &'a DitsLocal,
+    queries: &'a [CellSet],
     config: CoverageConfig,
 ) -> Vec<(CoverageResult, SearchStats)> {
     if !config.merge_results {
@@ -217,36 +216,24 @@ pub fn coverage_search_batch(
             .collect();
     }
 
-    let mut states: Vec<CoverageState<'_>> = queries
+    let mut states: Vec<CoverageState<'a>> = queries
         .iter()
-        .map(|q| {
-            let query_coverage = q.len();
-            let mut state = CoverageState {
-                merged_cells: q.clone(),
-                merged_geometry: NodeGeometry::from_mbr(Mbr::new(
-                    spatial::Point::new(0.0, 0.0),
-                    spatial::Point::new(0.0, 0.0),
-                )),
-                selected: HashSet::new(),
-                result: CoverageResult {
-                    datasets: Vec::new(),
-                    coverage: query_coverage,
-                    query_coverage,
-                    gains: Vec::new(),
-                },
-                stats: SearchStats::new(),
-                active: true,
-                probe: None,
-                connected: Vec::new(),
-                seen: HashSet::new(),
-            };
-            match q.mbr_cell_space() {
-                Some(m) if config.k > 0 && index.dataset_count() > 0 => {
-                    state.merged_geometry = NodeGeometry::from_mbr(m);
-                }
-                _ => state.active = false,
-            }
-            state
+        .map(|q| CoverageState {
+            merged_cells: q.clone(),
+            selected: HashSet::new(),
+            result: CoverageResult {
+                datasets: Vec::new(),
+                coverage: q.len(),
+                query_coverage: q.len(),
+                gains: Vec::new(),
+            },
+            stats: SearchStats::new(),
+            newest: q
+                .mbr_cell_space()
+                .filter(|_| config.k > 0 && index.dataset_count() > 0)
+                .map(|m| (NodeGeometry::from_mbr(m), NeighborProbe::new(q))),
+            connected: Vec::new(),
+            seen: HashSet::new(),
         })
         .collect();
 
@@ -255,39 +242,32 @@ pub fn coverage_search_batch(
         let active: Vec<u32> = states
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.active)
+            .filter(|(_, s)| s.newest.is_some())
             .map(|(i, _)| i as u32)
             .collect();
         if active.is_empty() {
             break;
         }
 
-        // Snapshot the probe before the walk: it owns its coordinates, so
-        // the walk never aliases the cells it prunes against.  The per-query
-        // algorithm rebuilds its probe every iteration too.  The connect-set
-        // collections are cleared, not reallocated, across iterations.
+        // FindConnectSet from each active query's newest member, for all of
+        // them in one walk.
         let walk_started = std::time::Instant::now();
-        for s in states.iter_mut() {
-            let probe = s.active.then(|| NeighborProbe::new(&s.merged_cells));
-            s.probe = probe;
-            s.connected.clear();
-            s.seen.clear();
-        }
-
-        // FindConnectSet for all active queries in one walk.
         let mut stack: Vec<(NodeIdx, Vec<u32>)> = vec![(layout.root(), active)];
         while let Some((node_idx, frontier)) = stack.pop() {
             let geometry = layout.geometry(node_idx);
             let mut kept: Vec<u32> = Vec::with_capacity(frontier.len());
             for &q in &frontier {
                 // Frontier indices come from the active-query enumeration,
-                // so a miss is a frontier-construction bug; skipping the
-                // query contains it without a panic.
+                // so a miss (or a finished query) is a frontier-construction
+                // bug; skipping the query contains it without a panic.
                 let Some(state) = states.get_mut(q as usize) else {
                     continue;
                 };
+                let Some((newest, _)) = state.newest else {
+                    continue;
+                };
                 state.stats.nodes_visited += 1;
-                let (lb, ub) = node_distance_bounds(geometry, &state.merged_geometry);
+                let (lb, ub) = node_distance_bounds(geometry, &newest);
                 if ub <= config.delta {
                     // Everything below is connected for this query: collect
                     // the subtree and drop the query from the frontier.
@@ -319,10 +299,7 @@ pub fn coverage_search_batch(
                             let Some(state) = states.get_mut(q as usize) else {
                                 continue;
                             };
-                            // Probes exist for exactly the active queries; a
-                            // missing one is a frontier-construction bug and
-                            // skipping the query contains it without a panic.
-                            let Some(probe) = state.probe.as_ref() else {
+                            let Some((newest, probe)) = state.newest else {
                                 continue;
                             };
                             for (offset, entry) in entries.iter().enumerate() {
@@ -331,7 +308,7 @@ pub fn coverage_search_batch(
                                 }
                                 let (elb, eub) = node_distance_bounds(
                                     layout.entry_geometry(base + offset),
-                                    &state.merged_geometry,
+                                    &newest,
                                 );
                                 let is_connected = if eub <= config.delta {
                                     true
@@ -356,8 +333,8 @@ pub fn coverage_search_batch(
 
         // Greedy selection per query, identical to the per-query algorithm.
         let verify_started = std::time::Instant::now();
-        for state in states.iter_mut().filter(|s| s.active) {
-            match greedy_pick(
+        for state in states.iter_mut().filter(|s| s.newest.is_some()) {
+            state.newest = match greedy_pick(
                 &state.connected,
                 &state.selected,
                 &state.merged_cells,
@@ -368,14 +345,12 @@ pub fn coverage_search_batch(
                     state.result.datasets.push(best.id);
                     state.result.gains.push(tau as usize);
                     state.merged_cells.union_in_place(&best.cells);
-                    state.merged_geometry = state.merged_geometry.union(&best.geometry);
                     state.result.coverage = state.merged_cells.len();
-                    if state.result.datasets.len() >= config.k {
-                        state.active = false;
-                    }
+                    (state.result.datasets.len() < config.k)
+                        .then(|| (best.geometry, NeighborProbe::new(&best.cells)))
                 }
-                _ => state.active = false,
-            }
+                _ => None,
+            };
         }
         crate::phase::add_verify(verify_started.elapsed());
     }

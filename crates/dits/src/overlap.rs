@@ -5,9 +5,11 @@
 //! subtree whose MBR does not intersect the query MBR.  Each surviving leaf
 //! gets an upper and a lower bound on the intersection between the query and
 //! *any* dataset it stores (Lemmas 2–3).  Leaves are then verified in
-//! descending upper-bound order; once `k` results are known and the next
-//! leaf's upper bound cannot beat the current `k`-th best intersection, the
-//! remaining leaves are pruned in batch.  Verification of a leaf scans its
+//! descending upper-bound order; once `k` results are known, a leaf is
+//! pruned when its upper bound is below the current `k`-th best
+//! intersection, or equal to it while every dataset in the leaf has a larger
+//! id than the current `k`-th result (so the id tie-break cannot prefer it
+//! either).  Verification of a leaf scans its
 //! inverted index once, producing exact intersection counts for every
 //! dataset in the leaf simultaneously.
 
@@ -91,8 +93,9 @@ pub(crate) type LeafCandidate = (usize, usize, NodeIdx);
 /// Phase 2 of Algorithm 2, shared between the per-query search and the batch
 /// frontier traversal so both produce identical results and statistics:
 /// sorts the candidate leaves by decreasing upper bound, then verifies them
-/// exactly with a min-heap of the current top-k, pruning once the next upper
-/// bound cannot beat the `k`-th best intersection.
+/// exactly with a min-heap of the current top-k, pruning every leaf whose
+/// datasets can neither beat the `k`-th best intersection nor tie it with a
+/// smaller id.
 pub(crate) fn verify_candidates(
     index: &DitsLocal,
     query: &CellSet,
@@ -106,47 +109,51 @@ pub(crate) fn verify_candidates(
 
     let mut heap: BinaryHeap<Reverse<(usize, Reverse<DatasetId>)>> = BinaryHeap::new();
     for (ub, _lb, leaf) in candidates {
-        let kth_best = if heap.len() >= k {
-            heap.peek().map(|Reverse((o, _))| *o).unwrap_or(0)
-        } else {
-            0
-        };
-        if use_bounds && heap.len() >= k && ub <= kth_best {
-            // No dataset in this or any later leaf can improve the result.
-            stats.leaves_pruned_by_bounds += 1;
+        // Candidates are always leaves.
+        let NodeKind::Leaf { inverted, entries } = &index.node(leaf).kind else {
             continue;
+        };
+        if use_bounds && heap.len() >= k {
+            if let Some(&Reverse((kth_best, Reverse(worst_id)))) = heap.peek() {
+                // A leaf whose bound only ties the k-th best can still
+                // improve the result through the id tie-break, so it is
+                // pruned only when none of its datasets has a smaller id
+                // than the current worst.  Later leaves have no larger
+                // bound, but may hold smaller ids, so each is checked.
+                if ub < kth_best || (ub == kth_best && entries.iter().all(|e| e.id > worst_id)) {
+                    stats.leaves_pruned_by_bounds += 1;
+                    continue;
+                }
+            }
         }
         stats.leaves_verified += 1;
-        if let NodeKind::Leaf { inverted, entries } = &index.node(leaf).kind {
-            // Exact verification: one pass over the query against the leaf's
-            // posting lists yields the intersection count of every dataset in
-            // the leaf.  The per-leaf accumulator is a small vector (at most
-            // `f` entries), which avoids a hash map allocation per leaf.
-            let mut counts: Vec<(DatasetId, usize)> =
-                entries.iter().map(|e| (e.id, 0usize)).collect();
-            for cell in query.iter() {
-                if let Some(list) = inverted.posting_list(cell) {
-                    for id in list {
-                        if let Some(slot) = counts.iter_mut().find(|(d, _)| d == id) {
-                            slot.1 += 1;
-                        }
+        // Exact verification: one pass over the query against the leaf's
+        // posting lists yields the intersection count of every dataset in
+        // the leaf.  The per-leaf accumulator is a small vector (at most
+        // `f` entries), which avoids a hash map allocation per leaf.
+        let mut counts: Vec<(DatasetId, usize)> = entries.iter().map(|e| (e.id, 0usize)).collect();
+        for cell in query.iter() {
+            if let Some(list) = inverted.posting_list(cell) {
+                for id in list {
+                    if let Some(slot) = counts.iter_mut().find(|(d, _)| d == id) {
+                        slot.1 += 1;
                     }
                 }
             }
-            stats.exact_computations += entries.len();
-            for (dataset, overlap) in counts {
-                if overlap == 0 {
-                    continue;
-                }
-                stats.candidates += 1;
-                let entry = Reverse((overlap, Reverse(dataset)));
-                if heap.len() < k {
+        }
+        stats.exact_computations += entries.len();
+        for (dataset, overlap) in counts {
+            if overlap == 0 {
+                continue;
+            }
+            stats.candidates += 1;
+            let entry = Reverse((overlap, Reverse(dataset)));
+            if heap.len() < k {
+                heap.push(entry);
+            } else if let Some(&Reverse((worst, Reverse(worst_id)))) = heap.peek() {
+                if overlap > worst || (overlap == worst && dataset < worst_id) {
+                    heap.pop();
                     heap.push(entry);
-                } else if let Some(&Reverse((worst, Reverse(worst_id)))) = heap.peek() {
-                    if overlap > worst || (overlap == worst && dataset < worst_id) {
-                        heap.pop();
-                        heap.push(entry);
-                    }
                 }
             }
         }
@@ -360,6 +367,48 @@ mod tests {
         }
     }
 
+    #[test]
+    fn leaf_tied_with_kth_best_is_verified_for_smaller_id() {
+        // Two leaves: {5, 6} around x = 0 and {1, 7} around x = 100.  The
+        // query touches three cells of the first leaf (upper bound 3) and
+        // two of the second (upper bound 2).  Dataset 5 overlaps in 2 and is
+        // found first; dataset 1 ties it at 2 with a smaller id, so the
+        // second leaf — whose bound only equals the k-th best — must still
+        // be verified.
+        let nodes = vec![
+            node(5, &[(0, 0), (1, 0)]),
+            node(6, &[(2, 0)]),
+            node(1, &[(100, 0), (101, 0)]),
+            node(7, &[(102, 0)]),
+        ];
+        let idx = DitsLocal::build(nodes.clone(), DitsLocalConfig { leaf_capacity: 2 });
+        let query = cs(&[(0, 0), (1, 0), (2, 0), (100, 0), (101, 0)]);
+        let (results, stats) = overlap_search(&idx, &query, 1);
+        assert_eq!(
+            results,
+            vec![OverlapResult {
+                dataset: 1,
+                overlap: 2
+            }]
+        );
+        assert_eq!(results, overlap_search_bruteforce(&nodes, &query, 1));
+        assert_eq!(stats.leaves_verified, 2);
+        // With the tied dataset's id above the k-th result's, the tie-break
+        // cannot prefer it and the leaf is pruned.
+        let nodes = vec![
+            node(1, &[(0, 0), (1, 0)]),
+            node(6, &[(2, 0)]),
+            node(5, &[(100, 0), (101, 0)]),
+            node(7, &[(102, 0)]),
+        ];
+        let idx = DitsLocal::build(nodes.clone(), DitsLocalConfig { leaf_capacity: 2 });
+        let (results, stats) = overlap_search(&idx, &query, 1);
+        assert_eq!(results, overlap_search_bruteforce(&nodes, &query, 1));
+        assert_eq!(results[0].dataset, 1);
+        assert_eq!(stats.leaves_verified, 1);
+        assert_eq!(stats.leaves_pruned_by_bounds, 1);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
@@ -379,11 +428,8 @@ mod tests {
             let q = cs(&query);
             let (fast, _) = overlap_search(&idx, &q, k);
             let brute = overlap_search_bruteforce(&nodes, &q, k);
-            // Overlap values must match exactly; ids may differ only on ties.
-            prop_assert_eq!(
-                fast.iter().map(|r| r.overlap).collect::<Vec<_>>(),
-                brute.iter().map(|r| r.overlap).collect::<Vec<_>>()
-            );
+            // Whole results, ids included: ties go to the smaller id.
+            prop_assert_eq!(fast, brute);
         }
     }
 }

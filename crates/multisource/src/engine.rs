@@ -875,6 +875,11 @@ fn retain_reachable(
 /// (Section VI-C applied at the data center): repeatedly picks the connected
 /// candidate with the largest marginal gain until `k` datasets are selected
 /// or no candidate adds coverage.
+///
+/// Connectivity to the merged result only grows, because
+/// `dist(D, A ∪ B) = min(dist(D, A), dist(D, B))`: the first round probes
+/// every candidate against the query, and each later round probes only the
+/// still-unconnected candidates against the candidate picked last.
 fn aggregate_coverage(
     query_cells: &CellSet,
     candidates: &[CoverageCandidate],
@@ -884,22 +889,26 @@ fn aggregate_coverage(
     let query_coverage = query_cells.len();
     let mut merged = query_cells.clone();
     let mut selected: Vec<(SourceId, DatasetId)> = Vec::new();
-    let mut remaining: Vec<&CoverageCandidate> = candidates.iter().collect();
-    while selected.len() < k && !remaining.is_empty() {
-        let probe = NeighborProbe::new(&merged);
+    let mut unconnected: Vec<&CoverageCandidate> = candidates.iter().collect();
+    let mut connected: Vec<&CoverageCandidate> = Vec::new();
+    let mut newest = query_cells;
+    while selected.len() < k {
         // Connectivity first (cheap bound checks), then one batched exact
-        // intersection pass over only the connected candidates.  Candidates
-        // are carried by reference so the loop never indexes a slice.
-        let connected: Vec<(usize, &CoverageCandidate)> = remaining
-            .iter()
-            .enumerate()
-            .filter(|(_, cand)| probe.within(&cand.cells, delta_cells))
-            .map(|(pos, &cand)| (pos, cand))
-            .collect();
-        let overlaps = merged.intersection_size_many(connected.iter().map(|(_, cand)| &cand.cells));
-        // (position in remaining, candidate, gain)
+        // intersection pass over only the connected, unselected candidates.
+        // Candidates are carried by reference so the loop never indexes a
+        // slice.
+        let probe = NeighborProbe::new(newest);
+        unconnected.retain(|&cand| {
+            let joins = probe.within(&cand.cells, delta_cells);
+            if joins {
+                connected.push(cand);
+            }
+            !joins
+        });
+        let overlaps = merged.intersection_size_many(connected.iter().map(|cand| &cand.cells));
+        // (position in connected, candidate, gain)
         let mut best: Option<(usize, &CoverageCandidate, usize)> = None;
-        for (&(pos, cand), overlap) in connected.iter().zip(&overlaps) {
+        for (pos, (&cand, overlap)) in connected.iter().zip(&overlaps).enumerate() {
             let gain = cand.cells.len() - overlap;
             let wins = match best {
                 None => true,
@@ -917,9 +926,10 @@ fn aggregate_coverage(
         if gain == 0 {
             break;
         }
-        remaining.swap_remove(pos);
+        connected.swap_remove(pos);
         merged.union_in_place(&cand.cells);
         selected.push((cand.source, cand.dataset));
+        newest = &cand.cells;
     }
 
     AggregatedCoverage {
@@ -1636,5 +1646,83 @@ mod tests {
         assert_eq!(seq.answers, par.answers);
         assert_eq!(seq.comm, par.comm);
         assert_eq!(seq.search, par.search);
+    }
+
+    /// Test-local reference for [`aggregate_coverage`]: every round tests
+    /// every remaining candidate against the whole merged result, with the
+    /// plain distance predicate instead of a probe.
+    fn aggregate_coverage_reference(
+        query_cells: &CellSet,
+        candidates: &[CoverageCandidate],
+        k: usize,
+        delta_cells: f64,
+    ) -> AggregatedCoverage {
+        let mut merged = query_cells.clone();
+        let mut selected = Vec::new();
+        let mut remaining: Vec<&CoverageCandidate> = candidates.iter().collect();
+        while selected.len() < k {
+            let best = remaining
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| spatial::dataset_distance_within(&merged, &c.cells, delta_cells))
+                .map(|(pos, c)| {
+                    let gain = c.cells.marginal_gain(&merged);
+                    (gain, std::cmp::Reverse((c.source, c.dataset)), pos)
+                })
+                .max();
+            let Some((gain, _, pos)) = best else { break };
+            if gain == 0 {
+                break;
+            }
+            let cand = remaining.swap_remove(pos);
+            merged.union_in_place(&cand.cells);
+            selected.push((cand.source, cand.dataset));
+        }
+        AggregatedCoverage {
+            selected,
+            coverage: merged.len(),
+            query_coverage: query_cells.len(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+        #[test]
+        fn prop_incremental_aggregation_matches_full_probe(
+            cells in proptest::collection::vec(
+                proptest::collection::vec((0u32..16, 0u32..16), 1..5), 0..12),
+            copies in proptest::collection::vec(0usize..64, 0..10),
+            query in proptest::collection::vec((0u32..16, 0u32..16), 0..4),
+            k in 1usize..16,
+            delta in 0.0f64..8.0,
+            whole_delta in proptest::any::<bool>(),
+        ) {
+            use spatial::zorder::cell_id;
+            let set = |coords: &[(u32, u32)]| {
+                CellSet::from_cells(coords.iter().map(|&(x, y)| cell_id(x, y)))
+            };
+            // Copies repeat earlier cells under new `(source, dataset)`
+            // keys, so many candidates tie on gain; an empty `cells` is an
+            // empty bucket, and `k` often exceeds the candidate count.
+            let mut all: Vec<&Vec<(u32, u32)>> = cells.iter().collect();
+            if !cells.is_empty() {
+                all.extend(copies.iter().map(|&c| &cells[c % cells.len()]));
+            }
+            let candidates: Vec<CoverageCandidate> = all
+                .iter()
+                .enumerate()
+                .map(|(i, c)| CoverageCandidate {
+                    source: (i % 3) as SourceId,
+                    dataset: (all.len() - i) as DatasetId,
+                    cells: set(c),
+                })
+                .collect();
+            let q = set(&query);
+            let delta = if whole_delta { delta.floor() } else { delta };
+            proptest::prop_assert_eq!(
+                aggregate_coverage(&q, &candidates, k, delta),
+                aggregate_coverage_reference(&q, &candidates, k, delta)
+            );
+        }
     }
 }

@@ -253,23 +253,24 @@ pub fn dataset_distance_uncached(a: &CellSet, b: &CellSet) -> f64 {
 /// A reusable "is anything within δ of this set?" probe.
 ///
 /// The greedy coverage algorithms test hundreds of candidate datasets against
-/// the *same* (and steadily growing) result set every iteration; re-sorting
-/// that set for each candidate would dominate the run time.  A
-/// [`NeighborProbe`] decomposes and sorts the probe side once and then
-/// answers `within(candidate, δ)` by binary-searching the candidate's cells
-/// into the sorted x-order, with early acceptance on the first close pair.
-#[derive(Debug, Clone)]
-pub struct NeighborProbe {
+/// the same probe set; re-sorting that set for each candidate would dominate
+/// the run time.  A [`NeighborProbe`] borrows the set's cached x-sorted
+/// decomposition ([`CellSet::sorted_coords`], built at most once per set)
+/// and answers `within(candidate, δ)` by binary-searching the candidate's
+/// cells into that order, with early acceptance on the first close pair.
+#[derive(Debug, Clone, Copy)]
+pub struct NeighborProbe<'a> {
     /// Cell coordinates sorted by x.
-    xs: Vec<(f64, f64)>,
+    xs: &'a [(f64, f64)],
 }
 
-impl NeighborProbe {
-    /// Builds a probe over a cell set, reusing the set's cached sorted
-    /// decomposition (so repeated probes over the same set never re-sort).
-    pub fn new(cells: &CellSet) -> Self {
+impl<'a> NeighborProbe<'a> {
+    /// Builds a probe over a cell set, borrowing the set's cached sorted
+    /// decomposition (so repeated probes over the same set never re-sort or
+    /// copy).
+    pub fn new(cells: &'a CellSet) -> Self {
         Self {
-            xs: cells.sorted_coords().to_vec(),
+            xs: cells.sorted_coords(),
         }
     }
 
